@@ -15,6 +15,9 @@ Two determinantal consequences of the characteristic-polynomial formulas:
 """
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 
 from .biorth import eval_p_table, eval_q_table
@@ -103,15 +106,12 @@ def _same_axis_matchings(indices, axis):
                 yield [(first, other)] + match
 
 
-def _contour_tables(ctx, n_x, n_y, radius, num_points):
-    """Tables are exponent-independent; cache them on the evaluator."""
-    cache = getattr(ctx.transforms, "_contour_cache", None)
-    if cache is None:
-        cache = {}
-        ctx.transforms._contour_cache = cache
-    key = (ctx.n, n_x, n_y, float(radius), num_points)
+def _cached(ctx, build, *args):
+    """Exponent-independent contour data, cached on the evaluator."""
+    key = (build, ctx.n) + args
+    cache = ctx.transforms.contour_cache
     if key not in cache:
-        cache[key] = _ContourTables(ctx, n_x, n_y, radius, num_points)
+        cache[key] = build(ctx, *args)
     return cache[key]
 
 
@@ -121,7 +121,6 @@ class _ContourTables:
     def __init__(self, ctx, n_x, n_y, radius, num_points):
         tev = ctx.transforms
         n = ctx.n
-        self.n = n
         self.inv_h = 1.0 / ctx.sys.h_sq[:n]
         theta = 2.0 * np.pi * (np.arange(num_points) + 0.5) / num_points
         base = np.exp(1j * theta)
@@ -173,38 +172,35 @@ class _ContourTables:
 
 def _contour_value(tables, exponents, num_points):
     """Average over the product grid of contour points of the determinant,
-    each variable weighted by z**(m+1)/N (trapezoid moment extraction)."""
+    each variable weighted by z**(m+1)/N (trapezoid moment extraction).
+    Over the permutations of the determinant the sum factorizes exactly by
+    cycles: (a1 ... ac) gives trace(W_a1 M_a1a2 ... W_ac M_aca1)."""
     k = len(exponents)
-    weights = [
-        tables.points[v] ** (exponents[v] + 1) / num_points for v in range(k)
-    ]
-    if k == 1:
-        return complex(np.sum(weights[0] * tables.diag(0)))
-    if k == 2:
-        d0, d1 = tables.diag(0), tables.diag(1)
-        m01 = tables.cross(0, 1)
-        m10 = tables.cross(1, 0)
-        direct = np.sum(weights[0] * d0) * np.sum(weights[1] * d1)
-        swapped = weights[0] @ (m01 * m10.T) @ weights[1]
-        return complex(direct - swapped)
-    # general case: chunked vectorized determinants over point tuples
-    diags = [tables.diag(v) for v in range(k)]
-    crosses = {(a, b): tables.cross(a, b) for a in range(k) for b in range(k) if a != b}
-    grids = np.meshgrid(*[np.arange(num_points)] * k, indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)
+    weights = [z ** (e + 1) / num_points for z, e in zip(tables.points, exponents)]
+    links = {  # (a, b) -> W_a M_ab
+        (a, b): weights[a][:, None] * tables.cross(a, b)
+        for a, b in itertools.permutations(range(k), 2)
+    }
+
+    @functools.cache  # keyed by the cycle, smallest index first
+    def cycle_value(cycle):
+        if len(cycle) == 1:
+            return np.sum(weights[cycle[0]] * tables.diag(cycle[0]))
+        chain = [links[ab] for ab in zip(cycle, cycle[1:] + cycle[:1])]
+        head = functools.reduce(np.matmul, chain[:-1])
+        # trace(head @ last) without forming the product
+        return (-1) ** (len(cycle) - 1) * np.sum(head * chain[-1].T)
+
     total = 0.0 + 0.0j
-    chunk = 200_000
-    for start in range(0, idx.shape[0], chunk):
-        sel = idx[start : start + chunk]
-        mats = np.empty((sel.shape[0], k, k), dtype=complex)
-        wprod = np.ones(sel.shape[0], dtype=complex)
-        for a in range(k):
-            mats[:, a, a] = diags[a][sel[:, a]]
-            wprod = wprod * weights[a][sel[:, a]]
-            for b in range(k):
-                if a != b:
-                    mats[:, a, b] = crosses[a, b][sel[:, a], sel[:, b]]
-        total += np.sum(wprod * np.linalg.det(mats))
+    for perm in itertools.permutations(range(k)):
+        term, todo = 1.0 + 0.0j, set(range(k))
+        while todo:
+            cycle = [min(todo)]
+            while perm[cycle[-1]] != cycle[0]:
+                cycle.append(perm[cycle[-1]])
+            todo -= set(cycle)
+            term *= cycle_value(tuple(cycle))
+        total += term
     return complex(total)
 
 
@@ -268,25 +264,22 @@ def trace_product_average(
     if not m_list and not p_list:
         return 1.0
     if radius is None:
-        radius = 2.0 * _detected_support(ctx)
+        radius = 2.0 * _cached(ctx, _detected_support)
 
     exponents = m_list + p_list
 
     def run(r):
-        tables = _contour_tables(ctx, len(m_list), len(p_list), r, num_points)
-        return _contour_value(tables, exponents, num_points)
+        tables = _cached(
+            ctx, _ContourTables, len(m_list), len(p_list), float(r), num_points
+        )
+        return _contour_value(tables, exponents, num_points), tables.radii
 
-    val = run(radius)
+    val, _ = run(radius)
     if radius_check:
-        val2 = run(2.0 * radius)
+        val2, radii = run(2.0 * radius)
         # extraction noise scales like the product of contour-radius powers;
         # below that floor a doubled-radius mismatch carries no information
-        amp = np.prod(
-            [
-                (2.0 * radius * (1.0 + 0.08 * v)) ** (exponents[v] + 1)
-                for v in range(len(exponents))
-            ]
-        )
+        amp = np.prod([r ** (e + 1) for r, e in zip(radii, exponents)])
         floor = 256.0 * np.finfo(float).eps * amp
         if abs(val - val2) > max(tol * max(abs(val2), 1.0), floor):
             raise QuadratureError(

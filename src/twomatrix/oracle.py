@@ -211,42 +211,48 @@ def _span_width(model, axis):
     return hi - lo
 
 
-def _tilt_guard(model, exponents, axis, step):
-    coeffs = model.v_coeffs if axis == "x" else model.w_coeffs
-    deg = len(coeffs) - 1
-    rule = build_rule(model, axis, 16)
-    edge = max(abs(rule.nodes[0]), abs(rule.nodes[-1]))
-    for e in exponents:
-        if e < 0:
-            raise TiltDegreeError("trace exponents must be nonnegative")
-        if e < deg:
-            continue
-        if e == deg and step < coeffs[-1]:
-            continue
-        # above the potential degree the tilted integral formally diverges;
-        # accept only tilts that stay negligible over the node span
-        if step * edge**e > 1.0:
-            raise TiltDegreeError(
-                f"exponent {e} with step {step:g} tilts the weight by "
-                f"{step * edge**e:.2g} at the span edge (> 1); not integrable"
-            )
+def _tilt_guard(model, m_list, p_list, step):
+    axes = ((m_list, "x", model.v_coeffs), (p_list, "y", model.w_coeffs))
+    for exponents, axis, coeffs in axes:
+        deg = len(coeffs) - 1
+        rule = build_rule(model, axis, 16)
+        edge = max(abs(rule.nodes[0]), abs(rule.nodes[-1]))
+        for e in exponents:
+            if e < 0:
+                raise TiltDegreeError("trace exponents must be nonnegative")
+            if e < deg:
+                continue
+            if e == deg and step < coeffs[-1]:
+                continue
+            # above the potential degree the tilted integral formally
+            # diverges; accept only tilts that stay negligible over the span
+            if step * edge**e > 1.0:
+                raise TiltDegreeError(
+                    f"exponent {e} with step {step:g} tilts the weight by "
+                    f"{step * edge**e:.2g} at the span edge (> 1); not integrable"
+                )
 
 
-def oracle_trace_moments(model: ModelSpec, n: int, m_list, p_list, step=1e-4):
+def oracle_trace_moments(model: ModelSpec, n: int, m_list, p_list, step=1e-3):
     """E[prod_i Tr(M1**m_i) * prod_j Tr(M2**p_j)] by finite differences.
 
     The generating ratio Z(s, t) = det(M tilted) / det(M plain) with tilts
     exp(sum s_i x**m_i) and exp(sum t_j y**p_j) has this trace average as
     its mixed first derivative at zero.  Central differences with one
     Richardson level; a warning is emitted when the Richardson correction
-    exceeds 10 percent of the value (finite-difference instability).
+    exceeds 10 percent of the value (finite-difference instability).  Roundoff
+    grows like eps/step**k with k factors, hence the coarse default step, cut
+    tenfold where a tilt above the potential's degree needs it.
     """
     if n < 1:
         raise ValueError("matrix size n must be >= 1")
     m_list = [int(m) for m in m_list]
     p_list = [int(p) for p in p_list]
-    _tilt_guard(model, m_list, "x", step)
-    _tilt_guard(model, p_list, "y", step)
+    try:
+        _tilt_guard(model, m_list, p_list, step)
+    except TiltDegreeError:
+        step /= 10.0
+        _tilt_guard(model, m_list, p_list, step)
     rule_x = build_rule(model, "x")
     rule_y = build_rule(model, "y")
     den = _det(_modified_moments(model, n, lambda t: 1.0, lambda t: 1.0, rule_x, rule_y))

@@ -95,6 +95,7 @@ class TransformEvaluator:
         self._grids = {}  # axis -> _DenseGrid with transform table
         self._tensor = None  # (grid_x, grid_y, matrix, log_offset)
         self._t_memo = {}
+        self.contour_cache = {}  # trace-product contour data (applications)
 
     # -- plain transforms ---------------------------------------------------
 
@@ -292,14 +293,13 @@ class TransformEvaluator:
         gx = _DenseGrid(refined_rule(self.rule_x, [], cap=cap_x), cap_x)
         gy = _DenseGrid(refined_rule(self.rule_y, [], cap=cap_y), cap_y)
         xn, yn = gx.rule.nodes, gy.rule.nodes
-        # quadrature weights live in cauchy_rows, not in the tensor
-        expo = (
-            -self.model.v(xn)[:, None]
-            - self.model.w(yn)[None, :]
-            + self.model.tau * np.outer(xn, yn)
-        )
+        # quadrature weights live in cauchy_rows; in place: two arrays at most
+        expo = np.outer(xn, yn)
+        expo *= self.model.tau
+        expo += -self.model.v(xn)[:, None] - self.model.w(yn)[None, :]
         off = float(np.max(expo))
-        self._tensor = (gx, gy, np.exp(expo - off), off)
+        expo -= off
+        self._tensor = (gx, gy, np.exp(expo, out=expo), off)
         self._t_memo.clear()
         return self._tensor
 

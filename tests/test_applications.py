@@ -1,3 +1,4 @@
+import itertools
 import warnings
 
 import numpy as np
@@ -12,12 +13,30 @@ from twomatrix import (
     resolvent_generating,
     trace_product_average,
 )
+from twomatrix.applications import _ContourTables, _contour_value
 from twomatrix.errors import DistinctnessError
 from twomatrix.quadrature import build_rule, refined_rule, weighted_tensor
 
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def grid_determinant_sum(tables, exponents, num_points):
+    """Reference contour value: the trapezoid sum over the whole product
+    grid of contour points, one k x k determinant per point tuple."""
+    k = len(exponents)
+    weights = [tables.points[v] ** (exponents[v] + 1) / num_points for v in range(k)]
+    diags = [tables.diag(v) for v in range(k)]
+    crosses = {(a, b): tables.cross(a, b) for a in range(k) for b in range(k) if a != b}
+    total = 0.0 + 0.0j
+    for idx in itertools.product(range(num_points), repeat=k):
+        mat = np.empty((k, k), dtype=complex)
+        for a in range(k):
+            for b in range(k):
+                mat[a, b] = diags[a][idx[a]] if a == b else crosses[a, b][idx[a], idx[b]]
+        total += np.prod([weights[a][idx[a]] for a in range(k)]) * np.linalg.det(mat)
+    return total
 
 
 def resolvent_oracle(model, n, xs, ys, step=1e-3):
@@ -120,6 +139,32 @@ class TestTraceProducts:
             got = trace_product_average(quartic_ctx(2), m_list, p_list)
             want = oracle_trace_moments(quartic_model, 2, m_list, p_list)
         assert abs(got - want) <= 1e-4 * max(abs(want), 1.0)
+
+
+class TestCycleFactorization:
+    def test_three_factors_against_product_grid(self, quartic_ctx):
+        ctx = quartic_ctx(2)
+        exponents = [1, 2, 1]  # Tr M1 Tr M1^2 Tr M2: x-x, x-y and y-x links
+        tables = _ContourTables(ctx, 2, 1, 3.0, 16)
+        got = _contour_value(tables, exponents, 16)
+        want = grid_determinant_sum(tables, exponents, 16)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    # Gaussian closed forms: Tr M1 and Tr M2 are jointly normal with
+    # variance 4n/3 and covariance 2n/3, and Tr M2^2 = (Tr M2)^2/n plus an
+    # independent traceless part of mean 4(n^2-1)/3 (Isserlis/Wick)
+    @pytest.mark.parametrize(
+        "n,m_list,p_list,want",
+        [
+            (2, [1, 1], [1, 1], 32.0 / 3.0),
+            (3, [1], [1, 1, 1], 24.0),
+            (2, [1, 1], [1, 1, 2], 896.0 / 9.0),
+            (3, [1, 1, 1], [1, 2], 368.0),
+        ],
+    )
+    def test_four_and_five_factors_against_wick(self, gaussian_ctx, n, m_list, p_list, want):
+        got = trace_product_average(gaussian_ctx(n), m_list, p_list)
+        assert rel(got, want) < 1e-7
 
 
 class TestCorrelation:

@@ -182,6 +182,14 @@ class TestTracesCommand:
         np.testing.assert_allclose(data["value"], 2 / 3, rtol=1e-6)
         assert data["rel_err"] < 1e-6
 
+    def test_three_factor_job(self, tmp_path, capsys):
+        job = {"command": "traces", "model": GAUSS, "n": 3, "m": [1], "p": [1, 2]}
+        status, out = run_job(tmp_path, capsys, job)
+        assert status == 0
+        data = json.loads(out)
+        np.testing.assert_allclose(data["value"], 88 / 3, rtol=1e-6)
+        assert data["rel_err"] <= 1e-4
+
 
 class TestCorrelationsCommand:
     def test_grid(self, tmp_path, capsys):

@@ -123,6 +123,18 @@ class TestTraceMoments:
         val = oracle_trace_moments(gaussian_model, 1, [2], [])
         np.testing.assert_allclose(val, 4.0 / 3.0, rtol=1e-7)
 
+    def test_three_factor_wick_value(self, gaussian_model):
+        # E[Tr M1 Tr M2 Tr M2^2] at n = 3 by Wick pairing; roundoff in the
+        # third mixed difference grows like eps / step**3
+        val = oracle_trace_moments(gaussian_model, 3, [1], [1, 2])
+        np.testing.assert_allclose(val, 88.0 / 3.0, rtol=1e-5)
+
+    def test_quartic_tilt_on_quadratic_takes_finer_step(self, gaussian_model):
+        # x**4 tilts a quadratic potential beyond the guard at the default
+        # step; E[Tr M1^4] = (2n^3 + n) (4/3)^2 at n = 2
+        val = oracle_trace_moments(gaussian_model, 2, [4], [])
+        np.testing.assert_allclose(val, 32.0, rtol=1e-6)
+
     def test_tilt_guard(self, gaussian_model):
         # degree-4 tilt on a quadratic potential is visibly non-integrable
         with pytest.raises(TiltDegreeError):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,15 @@ class TestWeightDoubleCauchy:
         w, v = 1.0 + 1.5j, 0.5 - 0.8j
         first = quartic_tev.weight_double_cauchy(w, v)
         assert quartic_tev._t_memo[(w, v)] == first
+
+    def test_tensor_build_peak_memory(self, gaussian_model, gaussian_system):
+        tev = TransformEvaluator(gaussian_model, gaussian_system)
+        tracemalloc.start()
+        try:
+            tev.weight_double_cauchy_batch([0.4 + 1.0j], [-0.3 + 1.0j])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tensor = tev._tensor[2]
+        assert tensor.shape[0] > 1000 and tensor.shape[1] > 1000
+        assert peak <= 2.5 * tensor.nbytes
