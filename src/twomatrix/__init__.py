@@ -11,7 +11,6 @@ from .averages import (
     AverageResult,
     SourceConfig,
     average,
-    average_numerator_only,
     christoffel_a,
     christoffel_b,
 )
@@ -48,11 +47,8 @@ from .oracle import (
     oracle_trace_moments,
 )
 from .quadrature import (
-    IntegralResult,
     QuadratureRule,
     build_rule,
-    cauchy_integrate_1d,
-    integrate_2d,
     refined_rule,
 )
 from .transforms import TransformEvaluator
@@ -63,25 +59,21 @@ __all__ = [
     "AverageResult",
     "BimomentMatrix",
     "BiorthogonalSystem",
-    "IntegralResult",
     "KernelContext",
     "ModelSpec",
     "QuadratureRule",
     "SourceConfig",
     "TransformEvaluator",
     "average",
-    "average_numerator_only",
     "biorthogonalize",
     "build_rule",
     "build_system",
-    "cauchy_integrate_1d",
     "christoffel_a",
     "christoffel_b",
     "compute_bimoments",
     "correlation",
     "eval_p",
     "eval_q",
-    "integrate_2d",
     "k11",
     "k11_hat",
     "k11_tilde",

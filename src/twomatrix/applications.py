@@ -21,7 +21,7 @@ import itertools
 import numpy as np
 
 from .biorth import eval_p_table, eval_q_table
-from .errors import DistinctnessError, QuadratureError
+from .errors import QuadratureError, check_distinct
 from .kernels import KernelContext
 from .model import log_weight
 
@@ -44,10 +44,9 @@ def resolvent_generating(ctx: KernelContext, xs, ys):
     """
     xs = tuple(complex(x) for x in xs)
     ys = tuple(complex(y) for y in ys)
-    _distinct(xs, "xs")
-    _distinct(ys, "ys")
+    check_distinct(xs, "xs")
+    check_distinct(ys, "ys")
     tev = ctx.transforms
-    tev._check_poles(np.asarray(xs + ys))
     i_, j_ = len(xs), len(ys)
     if i_ + j_ == 0:
         return 1.0 + 0.0j
@@ -317,10 +316,3 @@ def correlation(ctx: KernelContext, lams, mus):
     if j_:
         mat[i_:, i_:] = (p_m * inv_h) @ q_m
     return float(np.linalg.det(mat))
-
-
-def _distinct(points, what):
-    for a in range(len(points)):
-        for b in range(a + 1, len(points)):
-            if abs(points[a] - points[b]) < 1e-12:
-                raise DistinctnessError(f"{what} must be pairwise distinct")

@@ -30,6 +30,7 @@ from .errors import (
     DegeneracyError,
     DistinctnessError,
     UnsupportedConfigurationError,
+    check_distinct,
 )
 from .kernels import KernelContext, with_index
 
@@ -37,13 +38,9 @@ __all__ = [
     "SourceConfig",
     "AverageResult",
     "average",
-    "average_numerator_only",
     "christoffel_a",
     "christoffel_b",
 ]
-
-_DISTINCT_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SourceConfig:
@@ -73,8 +70,8 @@ class SourceConfig:
                 raise DistinctnessError(
                     f"denominator source {z} must be off the real axis"
                 )
-        _check_distinct(self.xs + self.vs, "x-type sources")
-        _check_distinct(self.ys + self.ws, "y-type sources")
+        check_distinct(self.xs + self.vs, "x-type sources")
+        check_distinct(self.ys + self.ws, "y-type sources")
         i, j, k, l = self.counts
         if min(i - k, j - l) < -n:
             raise UnsupportedConfigurationError(
@@ -95,17 +92,6 @@ class AverageResult:
             raise ArithmeticError("average evaluated to a non-finite value")
         if self.condition_estimate < 1.0:
             raise ArithmeticError("condition estimate must be >= 1")
-
-
-def _check_distinct(points, what):
-    pts = list(points)
-    for a in range(len(pts)):
-        for b in range(a + 1, len(pts)):
-            if abs(pts[a] - pts[b]) < _DISTINCT_TOL:
-                raise DistinctnessError(
-                    f"{what} must be pairwise distinct; "
-                    f"{pts[a]} and {pts[b]} coincide"
-                )
 
 
 def _pair_product(left, right):
@@ -189,7 +175,13 @@ def average(ctx: KernelContext, cfg: SourceConfig, p_shift=None):
         raise ValueError(
             f"system order {ctx.sys.order} too small; need indices up to {needed}"
         )
+    return _evaluate(ctx, cfg, p_shift, orient_a)
 
+
+def _evaluate(ctx, cfg, p_shift, orient_a):
+    """Prefactor times the determinant in one printed orientation."""
+    n = ctx.n
+    i_, j_, k_, l_ = cfg.counts
     mat = _general_matrix(ctx, cfg, n, p_shift, orient_a)
     det, cond = _lu_det(mat)
 
@@ -279,56 +271,12 @@ def _general_matrix(ctx, cfg, n, p_shift, orient_a):
     return mat
 
 
-def average_numerator_only(ctx: KernelContext, xs, ys, p_shift=None):
-    """Numerator-only average (K = L = 0, I >= J >= 0) via its dedicated
-    matrix: J kernel columns and I-J trailing polynomial columns.
-
-    Agrees with :func:`average`; kept as the direct form of the
-    numerator-only determinant (the general matrix is its transpose).
-    """
-    xs = tuple(complex(x) for x in xs)
-    ys = tuple(complex(y) for y in ys)
-    i_, j_ = len(xs), len(ys)
-    if i_ < j_:
-        raise UnsupportedConfigurationError(
-            "numerator-only form requires I >= J; swap the roles of the axes"
-        )
-    _check_distinct(xs, "xs")
-    _check_distinct(ys, "ys")
-    n = ctx.n
-    if p_shift is None:
-        p_shift = i_
-    if not j_ <= p_shift <= i_:
-        raise UnsupportedConfigurationError(
-            f"kernel index shift {p_shift} outside [{j_}, {i_}]"
-        )
-    if i_ == 0:
-        return 1.0 + 0.0j
-    sys = ctx.sys
-    if n + i_ - 1 > sys.order:
-        raise ValueError("system order too small for the requested indices")
-    m = n + p_shift
-    inv_h = 1.0 / sys.h_sq[:m]
-    p_x = eval_p_table(sys, np.asarray(xs))
-    q_y = eval_q_table(sys, np.asarray(ys)) if j_ else np.zeros((sys.order + 1, 0))
-    mat = np.zeros((i_, i_), dtype=complex)
-    for j in range(j_):
-        mat[:, j] = (q_y[:m, j] * inv_h) @ p_x[:m]
-    for c in range(i_ - j_):
-        mat[:, j_ + c] = p_x[n + j_ + c]
-    det, _ = _lu_det(mat)
-    pref = np.prod(sys.h_sq[n : n + j_]) / (
-        _vandermonde_asc(np.asarray(xs)) * _vandermonde_asc(np.asarray(ys))
-    )
-    return complex(pref * det)
-
-
 def christoffel_a(sys, n, xs, x):
     """Monic degree-n polynomial biorthogonal to the weight multiplied by
     prod_i (x - x_i), as a ratio of determinants of the unperturbed family.
     """
     xs = tuple(complex(z) for z in xs)
-    _check_distinct(xs + (complex(x),), "xs and evaluation point")
+    check_distinct(xs + (complex(x),), "xs and evaluation point")
     i_ = len(xs)
     if n + i_ > sys.order:
         raise ValueError("system order too small for the requested indices")
@@ -359,8 +307,8 @@ def christoffel_b(ctx: KernelContext, xs, ys, y):
     i_, j_ = len(xs), len(ys)
     if not i_ > j_ >= 0:
         raise UnsupportedConfigurationError("christoffel_b requires I > J >= 0")
-    _check_distinct(xs, "xs")
-    _check_distinct(ys + (complex(y),), "ys and evaluation point")
+    check_distinct(xs, "xs")
+    check_distinct(ys + (complex(y),), "ys and evaluation point")
     n = ctx.n
     sys = ctx.sys
     if n + i_ > sys.order:

@@ -220,22 +220,14 @@ def eval_p(sys: BiorthogonalSystem, n: int, z):
     """p_n at real or complex z (scalar or array)."""
     if not 0 <= n <= sys.order:
         raise IndexError(f"index {n} outside 0..{sys.order}")
-    z = np.asarray(z)
-    out = np.zeros(z.shape, dtype=np.result_type(z.dtype, float))
-    for c in sys.p_coeffs[n, ::-1]:
-        out = out * z + c
-    return out if out.shape else out[()]
+    return eval_p_table(sys, z)[n]
 
 
 def eval_q(sys: BiorthogonalSystem, n: int, z):
     """q_n at real or complex z (scalar or array)."""
     if not 0 <= n <= sys.order:
         raise IndexError(f"index {n} outside 0..{sys.order}")
-    z = np.asarray(z)
-    out = np.zeros(z.shape, dtype=np.result_type(z.dtype, float))
-    for c in sys.q_coeffs[n, ::-1]:
-        out = out * z + c
-    return out if out.shape else out[()]
+    return eval_q_table(sys, z)[n]
 
 
 def eval_p_table(sys: BiorthogonalSystem, z):

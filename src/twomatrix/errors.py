@@ -68,6 +68,21 @@ class DistinctnessError(TwoMatrixError, ValueError):
     """Source points that must be pairwise distinct coincide."""
 
 
+_DISTINCT_TOL = 1e-12
+
+
+def check_distinct(points, what):
+    """Raise :class:`DistinctnessError` naming the first coincident pair."""
+    pts = list(points)
+    for a in range(len(pts)):
+        for b in range(a + 1, len(pts)):
+            if abs(pts[a] - pts[b]) < _DISTINCT_TOL:
+                raise DistinctnessError(
+                    f"{what} must be pairwise distinct; "
+                    f"{pts[a]} and {pts[b]} coincide"
+                )
+
+
 class UnsupportedConfigurationError(TwoMatrixError, ValueError):
     """Source counts violate min(I-K, J-L) >= -n."""
 

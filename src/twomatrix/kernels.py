@@ -80,11 +80,11 @@ class KernelContext:
             )
 
 
-def kernel_context(model: ModelSpec, n: int, order=None, node_count=200, memoize=True):
+def kernel_context(model: ModelSpec, n: int, order=None, node_count=200):
     """Build the biorthogonal system and transforms for kernels at index n."""
     order = order if order is not None else max(n, 1)
     sys = build_system(model, order, node_count=node_count)
-    tev = TransformEvaluator(model, sys, node_count=node_count, memoize=memoize)
+    tev = TransformEvaluator(model, sys, node_count=node_count, memoize=True)
     return KernelContext(model, sys, tev, n)
 
 

@@ -1,9 +1,10 @@
 """Model definition: the potentials, the coupling and the joint weight.
 
 The joint eigenvalue weight is ``exp(-V(x) - W(y) + tau*x*y)`` with V and W
-real polynomials of even degree and positive leading coefficient.  All weight
-evaluation elsewhere in the package goes through :func:`log_weight` so the
-exponential can be applied with a per-integral offset.
+real polynomials of even degree and positive leading coefficient.  Pointwise
+weight values go through :func:`log_weight`; weight matrices on quadrature
+grids come from :func:`twomatrix.quadrature.weighted_tensor`, which applies
+the exponential with a per-matrix offset.
 """
 from __future__ import annotations
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import QuadratureError, TiltDegreeError
 from .model import ModelSpec
-from .quadrature import build_rule, refined_rule
+from .quadrature import build_rule, refined_rule, weighted_tensor
 from . import averages as _averages
 
 __all__ = [
@@ -66,15 +66,7 @@ def _axis_rule(model, axis, poles, panel_nodes):
 def _modified_moments(model, n, f, g, rule_x, rule_y):
     """M[i][j] = integral x**i y**j f(x) g(y) weight for i, j < n."""
     xn, yn = rule_x.nodes, rule_y.nodes
-    expo = (
-        -model.v(xn)[:, None]
-        - model.w(yn)[None, :]
-        + model.tau * np.outer(xn, yn)
-        + rule_x.log_weights[:, None]
-        + rule_y.log_weights[None, :]
-    )
-    off = float(np.max(expo))
-    wmat = np.exp(expo - off)
+    wmat, off = weighted_tensor(model, rule_x, rule_y)
     fx = np.broadcast_to(np.asarray(f(xn)), xn.shape)
     gy = np.broadcast_to(np.asarray(g(yn)), yn.shape)
     vx = np.vander(xn, n, increasing=True) * fx[:, None]
@@ -104,14 +96,7 @@ def oracle_average(model: ModelSpec, n: int, cfg, tol=1e-8, panel_nodes=12):
         rx = _axis_rule(model, "x", list(cfg.vs), px)
         ry = _axis_rule(model, "y", list(cfg.ws), py)
         xn, yn = rx.nodes, ry.nodes
-        expo = (
-            -model.v(xn)[:, None]
-            - model.w(yn)[None, :]
-            + model.tau * np.outer(xn, yn)
-            + rx.log_weights[:, None]
-            + ry.log_weights[None, :]
-        )
-        wmat = np.exp(expo - np.max(expo))  # offset cancels in the det ratio
+        wmat, _ = weighted_tensor(model, rx, ry)  # offset cancels in the det ratio
         vx = np.vander(xn, n, increasing=True)
         vy = np.vander(yn, n, increasing=True)
         core = vx.T @ wmat  # (n, ny)
@@ -240,9 +225,9 @@ def oracle_trace_moments(model: ModelSpec, n: int, m_list, p_list, step=1e-3):
     exp(sum s_i x**m_i) and exp(sum t_j y**p_j) has this trace average as
     its mixed first derivative at zero.  Central differences with one
     Richardson level; a warning is emitted when the Richardson correction
-    exceeds 10 percent of the value (finite-difference instability).  Roundoff
-    grows like eps/step**k with k factors, hence the coarse default step, cut
-    tenfold where a tilt above the potential's degree needs it.
+    exceeds 10 percent of max(|value|, 1) (finite-difference instability).
+    Roundoff grows like eps/step**k with k factors, hence the coarse default
+    step, cut tenfold where a tilt above the potential's degree needs it.
     """
     if n < 1:
         raise ValueError("matrix size n must be >= 1")
@@ -288,7 +273,7 @@ def oracle_trace_moments(model: ModelSpec, n: int, m_list, p_list, step=1e-3):
     d_h = central(step)
     d_h2 = central(step / 2.0)
     refined = (4.0 * d_h2 - d_h) / 3.0
-    if abs(refined - d_h2) > 0.1 * max(abs(refined), 1e-300):
+    if abs(refined - d_h2) > 0.1 * max(abs(refined), 1.0):
         warnings.warn(
             f"trace-moment finite difference unstable: Richardson correction "
             f"{abs(refined - d_h2):.3e} vs value {abs(refined):.3e}",

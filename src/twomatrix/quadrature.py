@@ -18,7 +18,6 @@ in the package is a plain weighted sum over ``rule.nodes``.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -26,17 +25,14 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import roots_legendre
 
-from .errors import ModelValidationError, PoleProximityError, QuadratureError
-from .model import ModelSpec, log_weight, polyder_ascending, polyval_ascending
+from .errors import ModelValidationError, QuadratureError
+from .model import ModelSpec, polyder_ascending, polyval_ascending
 
 __all__ = [
     "QuadratureRule",
-    "IntegralResult",
     "build_rule",
     "refined_rule",
     "doubled_rule",
-    "integrate_2d",
-    "cauchy_integrate_1d",
     "weighted_tensor",
     "MIN_POLE_IMAG",
 ]
@@ -79,15 +75,6 @@ class QuadratureRule:
     @property
     def log_weights(self):
         return np.log(self.weights)
-
-
-@dataclass(frozen=True)
-class IntegralResult:
-    """Value of an integral plus its node-doubling error estimate."""
-
-    value: complex
-    error: float
-    converged: bool
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +336,7 @@ def doubled_rule(rule: QuadratureRule, model: ModelSpec | None = None):
 
 
 # ---------------------------------------------------------------------------
-# Integration
+# The joint weight on a tensor grid
 # ---------------------------------------------------------------------------
 
 
@@ -357,69 +344,14 @@ def weighted_tensor(model: ModelSpec, rule_x: QuadratureRule, rule_y: Quadrature
     """Tensor of weight * quadrature weights, returned as (matrix, log_offset).
 
     The true tensor is ``matrix * exp(log_offset)``; the offset keeps the
-    stored matrix in a safe floating-point range.
+    stored matrix in a safe floating-point range.  The exponent is assembled
+    and exponentiated in place, so only one node-grid array is allocated.
     """
-    ex = log_weight(model, rule_x.nodes[:, None], rule_y.nodes[None, :])
-    ex = ex + rule_x.log_weights[:, None] + rule_y.log_weights[None, :]
-    off = float(np.max(ex))
-    return np.exp(ex - off), off
-
-
-def _tensor_value(model, f, rule_x, rule_y):
-    mat, off = weighted_tensor(model, rule_x, rule_y)
-    fx = np.asarray(f(rule_x.nodes[:, None], rule_y.nodes[None, :]))
-    vals = np.broadcast_to(fx, mat.shape)
-    return complex(np.sum(vals * mat) * np.exp(off))
-
-
-def integrate_2d(model: ModelSpec, f, rule_x, rule_y, tol=1e-9):
-    """Tensor-product quadrature of f(x, y) against the joint weight.
-
-    ``f`` must broadcast over numpy arrays.  Returns an
-    :class:`IntegralResult` whose error field is the difference against the
-    same integral on rules with doubled resolution; a convergence warning is
-    carried in the result (and emitted) when the estimate exceeds ``tol``
-    relative to the value.
-    """
-    coarse = _tensor_value(model, f, rule_x, rule_y)
-    fine = _tensor_value(
-        model, f, doubled_rule(rule_x, model), doubled_rule(rule_y, model)
-    )
-    err = abs(fine - coarse)
-    scale = max(abs(fine), 1e-300)
-    converged = err <= tol * max(scale, 1.0)
-    if not converged:
-        warnings.warn(
-            f"integrate_2d error estimate {err:.3e} exceeds tol {tol:.3e}",
-            stacklevel=2,
-        )
-    return IntegralResult(fine, err, converged)
-
-
-def cauchy_integrate_1d(f, pole, rule: QuadratureRule, min_imag=MIN_POLE_IMAG, tol=1e-9):
-    """Integral of f(t) / (pole - t) over the real line.
-
-    ``f`` must be vectorized and carry the weight decay itself.  The rule is
-    refined toward the pole until the panel-doubling estimate meets ``tol``;
-    poles with ``|Im| < min_imag`` are rejected.
-    """
-    pole = complex(pole)
-    if abs(pole.imag) < min_imag:
-        raise PoleProximityError(pole, min_imag)
-
-    def attempt(m):
-        r = refined_rule(rule, [pole], nodes_per_panel=m)
-        fv = np.asarray(f(r.nodes))
-        return complex(np.sum(r.weights * fv / (pole - r.nodes)))
-
-    prev = attempt(16)
-    cur = attempt(32)
-    if abs(cur - prev) > tol * max(abs(cur), 1.0):
-        prev, cur = cur, attempt(64)
-        if abs(cur - prev) > tol * max(abs(cur), 1.0):
-            warnings.warn(
-                f"cauchy_integrate_1d doubling estimate {abs(cur - prev):.3e} "
-                f"above tol for pole {pole}",
-                stacklevel=2,
-            )
-    return cur
+    xn, yn = rule_x.nodes, rule_y.nodes
+    out = np.outer(xn, yn)
+    out *= model.tau
+    out += (rule_x.log_weights - model.v(xn))[:, None]
+    out += (rule_y.log_weights - model.w(yn))[None, :]
+    off = float(np.max(out))
+    out -= off
+    return np.exp(out, out=out), off

@@ -15,7 +15,8 @@ and their Cauchy transforms move an argument off the real axis:
 Everything is evaluated by quadrature; closed forms are reserved for tests.
 Evaluation is vectorized over the family index (all indices at once) and,
 where possible, over batches of arguments.  An optional memo layer caches
-per-argument index vectors; it never changes computed values.
+per-argument index vectors; a hit returns the vector computed first, which
+can differ in the last digits from a recomputation on refined grids.
 
 Cauchy transforms at poles comfortably off the axis go through a shared
 "dense grid": a pole-independent composite rule on which the transforms are
@@ -34,6 +35,7 @@ from .quadrature import (
     QuadratureRule,
     build_rule,
     refined_rule,
+    weighted_tensor,
 )
 
 __all__ = ["TransformEvaluator"]
@@ -51,15 +53,16 @@ class _DenseGrid:
     def __init__(self, rule: QuadratureRule, cap: float):
         self.rule = rule
         self.cap = cap
-        self.table = None  # transform values on rule.nodes, filled by owner
+        self.table = None  # weighted transform values on rule.nodes, filled by owner
 
     def resolves(self, im):
         return im >= _DENSE_SAFETY * self.cap * (1.0 - 1e-9)
 
     def cauchy_rows(self, poles):
-        """Rows w_a / (pole_b - t_a) for a batch of poles."""
+        """Rows 1 / (pole_b - t_a) for a batch of poles; the quadrature
+        weights live in the transform table and the weight tensor."""
         poles = np.asarray(poles, dtype=complex)
-        return self.rule.weights[None, :] / (poles[:, None] - self.rule.nodes[None, :])
+        return 1.0 / (poles[:, None] - self.rule.nodes[None, :])
 
 
 class TransformEvaluator:
@@ -69,7 +72,7 @@ class TransformEvaluator:
     ----------
     model, sys : the weight and its biorthogonal system
     rule_x, rule_y : optional prebuilt Gauss rules (defaults: 200 nodes)
-    memoize : cache per-argument transform vectors (results are unchanged)
+    memoize : cache per-argument transform vectors (a hit returns the first value)
     min_imag : pole-proximity floor for all Cauchy transforms
     """
 
@@ -261,9 +264,8 @@ class TransformEvaluator:
             return cur
         rule = refined_rule(self._base_rule(axis), [], cap=cap)
         grid = _DenseGrid(rule, cap)
-        grid.table = (
-            self.Q_values(rule.nodes) if axis == "x" else self.P_values(rule.nodes)
-        )
+        values = self.Q_values(rule.nodes) if axis == "x" else self.P_values(rule.nodes)
+        grid.table = rule.weights[:, None] * values
         self._grids[axis] = grid
         return grid
 
@@ -292,26 +294,14 @@ class TransformEvaluator:
                 return self._tensor
         gx = _DenseGrid(refined_rule(self.rule_x, [], cap=cap_x), cap_x)
         gy = _DenseGrid(refined_rule(self.rule_y, [], cap=cap_y), cap_y)
-        xn, yn = gx.rule.nodes, gy.rule.nodes
-        # quadrature weights live in cauchy_rows; in place: two arrays at most
-        expo = np.outer(xn, yn)
-        expo *= self.model.tau
-        expo += -self.model.v(xn)[:, None] - self.model.w(yn)[None, :]
-        off = float(np.max(expo))
-        expo -= off
-        self._tensor = (gx, gy, np.exp(expo, out=expo), off)
+        self._tensor = (gx, gy) + weighted_tensor(self.model, gx.rule, gy.rule)
         self._t_memo.clear()
         return self._tensor
 
     def _t_slow(self, w, v):
         rx = refined_rule(self.rule_x, [v])
         ry = refined_rule(self.rule_y, [w])
-        expo = (
-            -self.model.v(rx.nodes)[:, None]
-            - self.model.w(ry.nodes)[None, :]
-            + self.model.tau * np.outer(rx.nodes, ry.nodes)
-        )
-        off = float(np.max(expo))
-        uv = rx.weights / (v - rx.nodes)
-        uw = ry.weights / (w - ry.nodes)
-        return complex((uv @ np.exp(expo - off) @ uw) * np.exp(off))
+        mat, off = weighted_tensor(self.model, rx, ry)
+        uv = 1.0 / (v - rx.nodes)
+        uw = 1.0 / (w - ry.nodes)
+        return complex((uv @ mat @ uw) * np.exp(off))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .averages import SourceConfig, average, christoffel_a, christoffel_b
+from .averages import SourceConfig, _evaluate, average, christoffel_a, christoffel_b
 from .applications import correlation, trace_product_average
 from .biorth import build_system, eval_p_table, eval_q_table
 from .kernels import (
@@ -153,15 +153,9 @@ def check_transform_integral_identity(ws: Workspace):
         for w in (1.5j, -0.7 + 0.9j, 2.0 - 0.6j):
             direct = ws.tev.P_tilde(n, w)
             ry = refined_rule(ws.rule_y, [w], nodes_per_panel=24)
-            expo = (
-                -ws.model.v(ws.rule_x.nodes)[:, None]
-                - ws.model.w(ry.nodes)[None, :]
-                + ws.model.tau * np.outer(ws.rule_x.nodes, ry.nodes)
-                + ws.rule_x.log_weights[:, None]
-            )
-            off = float(np.max(expo))
+            wmat, off = weighted_tensor(ws.model, ws.rule_x, ry)
             pn = eval_p_table(ws.sys, ws.rule_x.nodes)[n]
-            val = (pn @ np.exp(expo - off) @ (ry.weights / (w - ry.nodes))) * np.exp(off)
+            val = (pn @ wmat @ (1.0 / (w - ry.nodes))) * np.exp(off)
             worst = max(worst, _rel(direct, complex(val)))
     return CheckResult("transforms.integral_identity", worst, 1e-8)
 
@@ -231,15 +225,7 @@ def check_kernel_vanishing(ws: Workspace):
         inv_h = 1.0 / ws.sys.h_sq[:n]
         # integral K11~(t, v) q(s) w(t, s) dt ds = 0
         rx = refined_rule(ws.rule_x, [v], nodes_per_panel=24)
-        expo = (
-            -ws.model.v(rx.nodes)[:, None]
-            - ws.model.w(ws.rule_y.nodes)[None, :]
-            + ws.model.tau * np.outer(rx.nodes, ws.rule_y.nodes)
-            + rx.log_weights[:, None]
-            + ws.rule_y.log_weights[None, :]
-        )
-        off = float(np.max(expo))
-        wmat = np.exp(expo - off)
+        wmat, off = weighted_tensor(ws.model, rx, ws.rule_y)
         qt_v = ws.tev.Q_tilde_values([v])[0, :n]
         pvals = eval_p_table(ws.sys, rx.nodes)[:n]
         sum_part = (qt_v * inv_h) @ pvals
@@ -249,15 +235,7 @@ def check_kernel_vanishing(ws: Workspace):
         worst = max(worst, abs(piece1 - piece2) / max(abs(piece1), abs(piece2), 1e-300))
         # integral K22~(w, s) p(t) w(t, s) dt ds = 0
         ry = refined_rule(ws.rule_y, [w], nodes_per_panel=24)
-        expo = (
-            -ws.model.v(ws.rule_x.nodes)[:, None]
-            - ws.model.w(ry.nodes)[None, :]
-            + ws.model.tau * np.outer(ws.rule_x.nodes, ry.nodes)
-            + ws.rule_x.log_weights[:, None]
-            + ry.log_weights[None, :]
-        )
-        off = float(np.max(expo))
-        wmat = np.exp(expo - off)
+        wmat, off = weighted_tensor(ws.model, ws.rule_x, ry)
         pt_w = ws.tev.P_tilde_values([w])[0, :n]
         qvals = eval_q_table(ws.sys, ry.nodes)[:n]
         sum_part = (pt_w * inv_h) @ qvals
@@ -282,15 +260,7 @@ def check_kernel_integral_relations(ws: Workspace):
         # K21~(w, v) = integral K11~(t, v) weight(t, s) / (w - s) dt ds
         rx = refined_rule(ws.rule_x, [v], nodes_per_panel=24)
         ry = refined_rule(ws.rule_y, [w], nodes_per_panel=24)
-        expo = (
-            -ws.model.v(rx.nodes)[:, None]
-            - ws.model.w(ry.nodes)[None, :]
-            + ws.model.tau * np.outer(rx.nodes, ry.nodes)
-            + rx.log_weights[:, None]
-            + ry.log_weights[None, :]
-        )
-        off = float(np.max(expo))
-        wmat = np.exp(expo - off)
+        wmat, off = weighted_tensor(ws.model, rx, ry)
         qt_v = ws.tev.Q_tilde_values([v])[0, :n]
         k11_vals = (qt_v * inv_h) @ eval_p_table(ws.sys, rx.nodes)[:n] - 1.0 / (
             v - rx.nodes
@@ -298,15 +268,7 @@ def check_kernel_integral_relations(ws: Workspace):
         rhs = complex((k11_vals @ wmat @ (1.0 / (w - ry.nodes))) * np.exp(off))
         worst = max(worst, _rel(k21_tilde(ctx, w, v), rhs))
         # K22~(w, y0) = 1/(y0-w) integral K12(t, y0) weight(t, s) (y0-s)/(w-s)
-        expo2 = (
-            -ws.model.v(ws.rule_x.nodes)[:, None]
-            - ws.model.w(ry.nodes)[None, :]
-            + ws.model.tau * np.outer(ws.rule_x.nodes, ry.nodes)
-            + ws.rule_x.log_weights[:, None]
-            + ry.log_weights[None, :]
-        )
-        off2 = float(np.max(expo2))
-        wmat2 = np.exp(expo2 - off2)
+        wmat2, off2 = weighted_tensor(ws.model, ws.rule_x, ry)
         q_y0 = eval_q_table(ws.sys, np.asarray(y0))[:n]
         k12_vals = (q_y0 * inv_h) @ eval_p_table(ws.sys, ws.rule_x.nodes)[:n]
         frac = (y0 - ry.nodes) / (w - ry.nodes)
@@ -355,34 +317,10 @@ def check_orientation_consistency(ws: Workspace):
         n = min(2, ws.n_max)
         cfg = ws.draw_sources(i, j, k, l, n)
         ctx = ws.ctx(n)
-        va = _forced_orientation(ctx, cfg, True)
-        vb = _forced_orientation(ctx, cfg, False)
+        va = _evaluate(ctx, cfg, i - k, True).value
+        vb = _evaluate(ctx, cfg, j - l, False).value
         worst = max(worst, _rel(va, vb))
     return CheckResult("averages.orientation_consistency", worst, 1e-8)
-
-
-def _forced_orientation(ctx, cfg, orient_a):
-    from .averages import _general_matrix, _lu_det, _pair_product
-    from .averages import _vandermonde_asc, _vandermonde_desc
-
-    i_, j_, k_, l_ = cfg.counts
-    n = ctx.n
-    p_shift = (i_ - k_) if orient_a else (j_ - l_)
-    mat = _general_matrix(ctx, cfg, n, p_shift, orient_a)
-    det, _ = _lu_det(mat)
-    xs, ys = np.asarray(cfg.xs), np.asarray(cfg.ys)
-    vs, ws_ = np.asarray(cfg.vs), np.asarray(cfg.ws)
-    pref = (
-        _pair_product(xs, vs)
-        / (_vandermonde_asc(xs) * _vandermonde_desc(vs))
-        * _pair_product(ys, ws_)
-        / (_vandermonde_asc(ys) * _vandermonde_desc(ws_))
-    )
-    sign = -1.0 if ((i_ + k_) * l_) % 2 else 1.0
-    h = ctx.sys.h_sq
-    gap = j_ - l_ if orient_a else i_ - k_
-    const = sign * (np.prod(h[n : n + gap]) if gap >= 0 else 1.0 / np.prod(h[n + gap : n]))
-    return complex(const * pref * det)
 
 
 def check_oracle_direct(ws: Workspace):

@@ -14,7 +14,7 @@ from twomatrix import (
     trace_product_average,
 )
 from twomatrix.applications import _ContourTables, _contour_value
-from twomatrix.errors import DistinctnessError
+from twomatrix.errors import DistinctnessError, PoleProximityError
 from twomatrix.quadrature import build_rule, refined_rule, weighted_tensor
 
 
@@ -109,6 +109,11 @@ class TestResolventGenerating:
     def test_distinctness_guard(self, gaussian_ctx):
         with pytest.raises(DistinctnessError):
             resolvent_generating(gaussian_ctx(1), [1j, 1j], [])
+
+    @pytest.mark.parametrize("xs, ys", [([0.5 + 5e-4j], []), ([1j], [0.5 - 5e-4j])])
+    def test_pole_proximity_guard(self, gaussian_ctx, xs, ys):
+        with pytest.raises(PoleProximityError):
+            resolvent_generating(gaussian_ctx(1), xs, ys)
 
 
 class TestTraceProducts:

@@ -4,7 +4,6 @@ import pytest
 from twomatrix import (
     SourceConfig,
     average,
-    average_numerator_only,
     christoffel_a,
     christoffel_b,
     eval_p,
@@ -145,13 +144,13 @@ class TestStructureInvariants:
 
     def test_orientation_agreement(self, gaussian_ctx):
         # I-K = J-L: both printed orientations must give the same value
-        from twomatrix.verification import _forced_orientation
+        from twomatrix.averages import _evaluate
 
         rng = np.random.default_rng(8)
         cfg = draw_sources(rng, 2, 2, 1, 1)
         ctx = gaussian_ctx(2)
-        va = _forced_orientation(ctx, cfg, True)
-        vb = _forced_orientation(ctx, cfg, False)
+        va = _evaluate(ctx, cfg, 1, True).value
+        vb = _evaluate(ctx, cfg, 1, False).value
         assert rel(va, vb) < 1e-8
 
     def test_permutation_invariance(self, gaussian_ctx):
@@ -211,42 +210,28 @@ class TestValidation:
 class TestNumeratorOnly:
     def test_reduces_to_single(self, quartic_ctx, quartic_system):
         ctx = quartic_ctx(2)
-        got = average_numerator_only(ctx, [0.4], [])
+        got = average(ctx, SourceConfig.make(xs=[0.4])).value
         np.testing.assert_allclose(got, eval_p(quartic_system, 2, 0.4), rtol=1e-12)
 
     def test_closed_form_two_sources(self, gaussian_ctx):
-        # I=2, J=0 at n=1: det [[p1(0), p2(0)], [p1(1), p2(1)]] / (x2 - x1)
+        # I=2, J=0 at n=1: E[(0 - lam)(1 - lam)] = E[lam**2] = 4/3
         ctx = gaussian_ctx(1)
-        got = average_numerator_only(ctx, [0.0, 1.0], [])
+        got = average(ctx, SourceConfig.make(xs=[0.0, 1.0])).value
         np.testing.assert_allclose(got, 4.0 / 3.0, rtol=1e-9)
 
     def test_pair_value(self, gaussian_ctx):
+        # I=J=1 at n=1: E[(1 - lam)(1 - mu)] = 1 + E[lam mu] = 5/3
         ctx = gaussian_ctx(1)
-        got = average_numerator_only(ctx, [1.0], [1.0])
+        got = average(ctx, SourceConfig.make(xs=[1.0], ys=[1.0])).value
         np.testing.assert_allclose(got, 5.0 / 3.0, rtol=1e-9)
-
-    def test_agrees_with_general(self, gaussian_ctx):
-        rng = np.random.default_rng(12)
-        ctx = gaussian_ctx(2)
-        cfg = draw_sources(rng, 3, 2, 0, 0)
-        a = average_numerator_only(ctx, cfg.xs, cfg.ys)
-        b = average(ctx, cfg).value
-        assert rel(a, b) < 1e-12
 
     def test_index_shift_choices_agree(self, gaussian_ctx):
         rng = np.random.default_rng(13)
         ctx = gaussian_ctx(2)
         cfg = draw_sources(rng, 3, 1, 0, 0)
-        vals = [
-            average_numerator_only(ctx, cfg.xs, cfg.ys, p_shift=p)
-            for p in range(1, 4)
-        ]
+        vals = [average(ctx, cfg, p_shift=p).value for p in range(1, 4)]
         for v in vals[1:]:
             assert rel(v, vals[0]) < 1e-10
-
-    def test_requires_i_ge_j(self, gaussian_ctx):
-        with pytest.raises(UnsupportedConfigurationError):
-            average_numerator_only(gaussian_ctx(2), [0.5], [0.1, 0.9])
 
 
 class TestChristoffel:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,17 @@ class TestTraceMoments:
         # formally divergent but negligible over the node span; must work
         val = oracle_trace_moments(gaussian_model, 1, [3], [])
         assert abs(val) < 1e-6  # odd moment vanishes
+
+    def test_vanishing_moment_does_not_warn(self, gaussian_model):
+        # the Richardson check is relative to max(|value|, 1), so roundoff
+        # on a moment that vanishes is not reported as instability
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = oracle_trace_moments(gaussian_model, 1, [3], [])
+        assert abs(val) < 1e-6
+
+    def test_unstable_difference_warns(self, gaussian_model):
+        # at step 0.3 the tilted Gaussian weight stops being integrable
+        with pytest.warns(UserWarning, match="finite difference unstable"):
+            val = oracle_trace_moments(gaussian_model, 2, [2], [2], step=0.3)
+        assert abs(val) > 1e30

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import wofz
 
-from twomatrix import build_rule, cauchy_integrate_1d, integrate_2d
+from twomatrix import build_rule
 from twomatrix.errors import PoleProximityError
 from twomatrix.quadrature import doubled_rule, refined_rule, weighted_tensor
 
@@ -60,54 +60,47 @@ class TestBuildRule:
 
 
 class TestIntegrate2d:
+    """Closed-form integrals against the joint weight, on weighted_tensor."""
+
+    @staticmethod
+    def integral(model, f, rx, ry):
+        mat, off = weighted_tensor(model, rx, ry)
+        return np.sum(f(rx.nodes[:, None], ry.nodes[None, :]) * mat) * np.exp(off)
+
     def test_normalization(self, gaussian_model):
         rx = build_rule(gaussian_model, "x", 200)
         ry = build_rule(gaussian_model, "y", 200)
-        res = integrate_2d(gaussian_model, lambda x, y: 1.0, rx, ry)
+        val = self.integral(gaussian_model, lambda x, y: 1.0, rx, ry)
         expect = 2 * np.pi / np.sqrt(1 - 0.25)
-        assert res.converged
-        np.testing.assert_allclose(res.value, expect, rtol=1e-12)
+        np.testing.assert_allclose(val, expect, rtol=1e-12)
 
     def test_odd_integrand_vanishes(self, gaussian_model):
         rx = build_rule(gaussian_model, "x", 200)
         ry = build_rule(gaussian_model, "y", 200)
-        res = integrate_2d(gaussian_model, lambda x, y: x + 0 * y, rx, ry)
-        assert abs(res.value) < 1e-12
+        val = self.integral(gaussian_model, lambda x, y: x + 0 * y, rx, ry)
+        assert abs(val) < 1e-12
 
     def test_covariance(self, gaussian_model):
         rx = build_rule(gaussian_model, "x", 200)
         ry = build_rule(gaussian_model, "y", 200)
-        norm = integrate_2d(gaussian_model, lambda x, y: 1.0, rx, ry).value
-        num = integrate_2d(gaussian_model, lambda x, y: x * y, rx, ry).value
+        norm = self.integral(gaussian_model, lambda x, y: 1.0, rx, ry)
+        num = self.integral(gaussian_model, lambda x, y: x * y, rx, ry)
         np.testing.assert_allclose(num / norm, 0.5 / 0.75, rtol=1e-12)
-
-    def test_linear_and_conjugate_equivariant(self, gaussian_model):
-        rx = build_rule(gaussian_model, "x", 150)
-        ry = build_rule(gaussian_model, "y", 150)
-
-        def f(x, y):
-            return (1 + 2j) * x * x + y
-
-        a = integrate_2d(gaussian_model, f, rx, ry).value
-        b = integrate_2d(gaussian_model, lambda x, y: np.conj(f(x, y)), rx, ry).value
-        np.testing.assert_allclose(b, np.conj(a), rtol=1e-12)
-
-    def test_convergence_warning_carried_in_result(self, gaussian_model):
-        # an unreachable tolerance must flag the result and warn, not raise
-        rx = build_rule(gaussian_model, "x", 64)
-        ry = build_rule(gaussian_model, "y", 64)
-        with pytest.warns(UserWarning, match="error estimate"):
-            res = integrate_2d(gaussian_model, lambda x, y: 1.0, rx, ry, tol=0.0)
-        assert not res.converged
-        assert res.error >= 0.0
 
 
 class TestCauchyIntegrate:
+    """Cauchy integrals of exp(-t**2/2) as plain sums on a pole-graded rule."""
+
+    @staticmethod
+    def integral(f, pole, rule):
+        r = refined_rule(rule, [pole])
+        return complex(np.sum(r.weights * f(r.nodes) / (pole - r.nodes)))
+
     def test_against_faddeeva(self, gaussian_model):
         rule = build_rule(gaussian_model, "x", 200)
         f = lambda t: np.exp(-t * t / 2)
         for pole in (1 + 2j, -0.5 + 0.7j, 2 - 0.3j, 0.001j, 1.3 - 0.001j):
-            got = cauchy_integrate_1d(f, pole, rule)
+            got = self.integral(f, pole, rule)
             want = gaussian_cauchy_exact(complex(pole))
             np.testing.assert_allclose(got, want, rtol=1e-10)
 
@@ -117,7 +110,7 @@ class TestCauchyIntegrate:
         f = lambda t: np.exp(-t * t / 2)
         errs = []
         for radius in (100.0, 200.0):
-            val = cauchy_integrate_1d(f, 1j * radius, rule)
+            val = self.integral(f, 1j * radius, rule)
             errs.append(abs(val * 1j * radius - SQRT_2PI))
         assert errs[0] < 3e-4
         assert errs[1] == pytest.approx(errs[0] / 4, rel=0.1)
@@ -126,22 +119,22 @@ class TestCauchyIntegrate:
         # writing 1/(iy - t) = (-iy - t)/(y**2 + t**2): an odd integrand
         # leaves only the real part, an even integrand only the imaginary
         rule = build_rule(gaussian_model, "x", 200)
-        odd = cauchy_integrate_1d(lambda t: t * np.exp(-t * t / 2), 1.7j, rule)
+        odd = self.integral(lambda t: t * np.exp(-t * t / 2), 1.7j, rule)
         assert abs(odd.imag) < 1e-14 * abs(odd)
-        even = cauchy_integrate_1d(lambda t: np.exp(-t * t / 2), 1.7j, rule)
+        even = self.integral(lambda t: np.exp(-t * t / 2), 1.7j, rule)
         assert abs(even.real) < 1e-14 * abs(even)
 
     def test_schwarz_reflection(self, gaussian_model):
         rule = build_rule(gaussian_model, "x", 200)
         f = lambda t: np.exp(-t * t / 2)
-        up = cauchy_integrate_1d(f, 1 + 1j, rule)
-        down = cauchy_integrate_1d(f, 1 - 1j, rule)
+        up = self.integral(f, 1 + 1j, rule)
+        down = self.integral(f, 1 - 1j, rule)
         np.testing.assert_allclose(down, np.conj(up), rtol=1e-14)
 
-    def test_pole_floor(self, gaussian_model):
-        rule = build_rule(gaussian_model, "x", 200)
+    def test_pole_floor(self, gaussian_tev):
+        # the Cauchy transforms refuse poles below the floor and name it
         with pytest.raises(PoleProximityError) as err:
-            cauchy_integrate_1d(lambda t: np.exp(-t * t / 2), 0.5 + 1e-5j, rule)
+            gaussian_tev.Q_tilde_values([0.5 + 1e-5j])
         assert "1.000e-03" in str(err.value)
 
 
