@@ -3,7 +3,7 @@
 Two consequences of the ratio formulas: the joint eigenvalue intensities
 are block determinants of the four plain kernels, and the multivariate
 resolvent determinant generates all averages of products of traces, which
-a contour integral extracts moment by moment.
+its residues give exactly, one trace power per variable.
 """
 import warnings
 
@@ -39,7 +39,7 @@ print("\nresolvent determinant at off-axis points:")
 val = resolvent_generating(ctx, [0.5 + 1.0j], [])
 print(f"  E[Tr 1/(z - M1)] at z = 0.5+1i: {val:.8g}")
 
-print("\ntrace-product averages by contour extraction vs the")
+print("\ntrace-product averages by exact residues vs the")
 print("finite-difference oracle:")
 with warnings.catch_warnings():
     warnings.simplefilter("ignore")

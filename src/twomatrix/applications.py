@@ -8,7 +8,8 @@ Two determinantal consequences of the characteristic-polynomial formulas:
   kernels and whose diagonal entries are the subtraction-free sums
   (:func:`resolvent_generating`); expanding it at infinity generates all
   averages of products of traces, which :func:`trace_product_average`
-  extracts by contour integration over circles enclosing the spectrum;
+  reads off exactly as residues of the kernels' finite Laurent
+  coefficients, with no quadrature on circles;
 
 * the joint eigenvalue intensities R_{I,J} equal the block determinant of
   the four plain kernels (:func:`correlation`).
@@ -20,8 +21,8 @@ import itertools
 
 import numpy as np
 
-from .biorth import eval_p_table, eval_q_table
-from .errors import QuadratureError, check_distinct
+from .biorth import eval_p_table, eval_q_table, monomial_bimoments
+from .errors import check_distinct
 from .kernels import KernelContext
 from .model import log_weight
 
@@ -39,8 +40,8 @@ def resolvent_generating(ctx: KernelContext, xs, ys):
     that produces the generating determinant also differentiates the
     prefactor, leaving -1/(z_a - z_b)**2 per pair times the complementary
     principal minor.  (Over nested circles of distinct radii every pairing
-    term integrates to zero, so contour extraction of trace moments uses
-    the bare determinant.)
+    term has zero residue, so the trace-moment residues of
+    :func:`trace_product_average` come from the bare determinant.)
     """
     xs = tuple(complex(x) for x in xs)
     ys = tuple(complex(y) for y in ys)
@@ -105,94 +106,81 @@ def _same_axis_matchings(indices, axis):
                 yield [(first, other)] + match
 
 
-def _cached(ctx, build, *args):
-    """Exponent-independent contour data, cached on the evaluator."""
-    key = (build, ctx.n) + args
-    cache = ctx.transforms.contour_cache
-    if key not in cache:
-        cache[key] = build(ctx, *args)
-    return cache[key]
+def _kernel_coefficients(ctx, n_x, size):
+    """Laurent coefficients of the kernel entries of the resolvent
+    determinant, variables 0..n_x-1 on M1 and the rest on M2.
+
+    Each variable z has the basis (1, z, ..., z**(size-1), z**-1, ...,
+    z**-size); ``entry(a, b)`` is the 2size x 2size matrix of the entry in
+    row a, column b over the bases of z_a and z_b.  Variable v sits on the
+    v-th of nested circles, so 1/(z_b - z_a) expands in powers of the inner
+    variable.  A Cauchy transform has the moments of its density as
+    coefficients, Q~_i(z) = sum_k z**-(k+1) integral t**k Q_i(t) dt: with
+    G the bimoments, those of Q~_i are mu = Q G^T, those of P~_i are
+    nu = P G, and those of the weight's double Cauchy transform are G^T.
+    """
+    n = ctx.n
+    g = monomial_bimoments(ctx.model, ctx.transforms.rule_x, ctx.transforms.rule_y, size)
+    p = np.zeros((n, size))
+    q = np.zeros((n, size))
+    p[:, :n] = ctx.sys.p_coeffs[:n, :n]
+    q[:, :n] = ctx.sys.q_coeffs[:n, :n]
+    p_h = p.T / ctx.sys.h_sq[:n]
+    nu_h = (p @ g).T / ctx.sys.h_sq[:n]
+    mu = q @ g.T
+    pos, neg = slice(0, size), slice(size, 2 * size)
+    eye = np.eye(size)
+
+    def entry(a, b):
+        mat = np.zeros((2 * size, 2 * size))
+        if a < n_x and b < n_x:  # K~11 = sum p Q~ / h - 1/(z_b - z_a)
+            mat[pos, neg] = p_h @ mu - eye * (a < b)
+            mat[neg, pos] = eye * (a > b)
+        elif a < n_x:  # K12 = sum p q / h
+            mat[pos, pos] = p_h @ q
+        elif b < n_x:  # K~21 = sum P~ Q~ / h - double Cauchy transform
+            mat[neg, neg] = nu_h @ mu - g.T
+        else:  # K~22 = sum P~ q / h - 1/(z_a - z_b)
+            mat[neg, pos] = nu_h @ q - eye * (a > b)
+            mat[pos, neg] = eye * (a < b)
+        return mat
+
+    return entry
 
 
-class _ContourTables:
-    """Kernel building blocks tabulated on one circle per trace variable."""
-
-    def __init__(self, ctx, n_x, n_y, radius, num_points):
-        tev = ctx.transforms
-        n = ctx.n
-        self.inv_h = 1.0 / ctx.sys.h_sq[:n]
-        theta = 2.0 * np.pi * (np.arange(num_points) + 0.5) / num_points
-        base = np.exp(1j * theta)
-        # one radius per variable keeps same-axis variables apart: the
-        # transformed kernels have removable double poles at coincident
-        # arguments that a shared grid would step on
-        self.radii = [radius * (1.0 + 0.08 * v) for v in range(n_x + n_y)]
-        self.points = [r * base for r in self.radii]
-        self.x_vars = list(range(n_x))
-        self.y_vars = list(range(n_x, n_x + n_y))
-        self.p_tab = {}
-        self.q_tab = {}
-        self.qt_tab = {}
-        self.pt_tab = {}
-        for v in self.x_vars:
-            z = self.points[v]
-            self.p_tab[v] = eval_p_table(ctx.sys, z)[:n].T  # (N, n)
-            self.qt_tab[v] = tev.Q_tilde_values(z)[:, :n]
-        for v in self.y_vars:
-            z = self.points[v]
-            self.q_tab[v] = eval_q_table(ctx.sys, z)[:n].T
-            self.pt_tab[v] = tev.P_tilde_values(z)[:, :n]
-        self.t_mats = {}
-        for a in self.y_vars:
-            for b in self.x_vars:
-                self.t_mats[a, b] = tev.weight_double_cauchy_batch(
-                    self.points[a], self.points[b]
-                )
-
-    def diag(self, v):
-        """Subtraction-free diagonal entries on variable v's circle."""
-        if v in self.x_vars:
-            return np.sum(self.p_tab[v] * self.qt_tab[v] * self.inv_h, axis=1)
-        return np.sum(self.pt_tab[v] * self.q_tab[v] * self.inv_h, axis=1)
-
-    def cross(self, a, b):
-        """Kernel matrix between variable a's and variable b's circles."""
-        if a in self.x_vars and b in self.x_vars:
-            mat = self.p_tab[a] @ (self.qt_tab[b] * self.inv_h).T
-            return mat - 1.0 / (self.points[b][None, :] - self.points[a][:, None])
-        if a in self.x_vars:
-            return self.p_tab[a] @ (self.q_tab[b] * self.inv_h).T
-        if b in self.x_vars:
-            mat = (self.pt_tab[a] * self.inv_h) @ self.qt_tab[b].T
-            return mat - self.t_mats[a, b]
-        mat = (self.pt_tab[a] * self.inv_h) @ self.q_tab[b].T
-        return mat - 1.0 / (self.points[a][:, None] - self.points[b][None, :])
+def _moment_pairing(size, e):
+    """0/1 matrix R with residue(z**e f(z) g(z)) = f^T R g over the basis
+    of :func:`_kernel_coefficients`: z**i pairs with z**-(i+e+1), and
+    z**-(k+1) with z**-(e-k)."""
+    r = np.zeros((2 * size, 2 * size))
+    i = np.arange(size - e)
+    r[i, size + i + e] = r[size + i + e, i] = 1.0
+    k = np.arange(e)
+    r[size + k, size + e - 1 - k] = 1.0
+    return r
 
 
-def _contour_value(tables, exponents, num_points):
-    """Average over the product grid of contour points of the determinant,
-    each variable weighted by z**(m+1)/N (trapezoid moment extraction).
+def _contour_value(entry, pairings):
+    """Residue of the determinant times prod z_v**e_v over all variables.
     Over the permutations of the determinant the sum factorizes exactly by
-    cycles: (a1 ... ac) gives trace(W_a1 M_a1a2 ... W_ac M_aca1)."""
-    k = len(exponents)
-    weights = [z ** (e + 1) / num_points for z, e in zip(tables.points, exponents)]
-    links = {  # (a, b) -> W_a M_ab
-        (a, b): weights[a][:, None] * tables.cross(a, b)
-        for a, b in itertools.permutations(range(k), 2)
+    cycles: (a1 ... ac) gives trace(A_a1a2 R_a2 ... A_aca1 R_a1)."""
+    k = len(pairings)
+    links = {  # (a, b) -> A_ab R_b
+        (a, b): entry(a, b) @ pairings[b] for a, b in itertools.permutations(range(k), 2)
     }
 
     @functools.cache  # keyed by the cycle, smallest index first
     def cycle_value(cycle):
         if len(cycle) == 1:
-            return np.sum(weights[cycle[0]] * tables.diag(cycle[0]))
+            return np.sum(entry(cycle[0], cycle[0]) * pairings[cycle[0]])
         chain = [links[ab] for ab in zip(cycle, cycle[1:] + cycle[:1])]
         head = functools.reduce(np.matmul, chain[:-1])
         # trace(head @ last) without forming the product
         return (-1) ** (len(cycle) - 1) * np.sum(head * chain[-1].T)
 
-    total = 0.0 + 0.0j
+    total = 0.0
     for perm in itertools.permutations(range(k)):
-        term, todo = 1.0 + 0.0j, set(range(k))
+        term, todo = 1.0, set(range(k))
         while todo:
             cycle = [min(todo)]
             while perm[cycle[-1]] != cycle[0]:
@@ -200,61 +188,19 @@ def _contour_value(tables, exponents, num_points):
             todo -= set(cycle)
             term *= cycle_value(tuple(cycle))
         total += term
-    return complex(total)
+    return float(total)
 
 
-def _detected_support(ctx):
-    """Largest |t| where the one-point density is above 1e-13 of its peak,
-    over both axes.  The trace contours must enclose this region and not
-    much more: far-out circles amplify cancellation noise in the
-    transformed-kernel entries by powers of the radius.
-    """
-    n = max(ctx.n, 1)
-    inv_h = 1.0 / ctx.sys.h_sq[:n]
-    tev = ctx.transforms
-    edge = 0.0
-    for nodes, dens in (
-        (
-            tev.rule_x.nodes,
-            np.sum(
-                eval_p_table(ctx.sys, tev.rule_x.nodes)[:n].T
-                * tev.Q_values(tev.rule_x.nodes)[:, :n]
-                * inv_h,
-                axis=1,
-            ),
-        ),
-        (
-            tev.rule_y.nodes,
-            np.sum(
-                tev.P_values(tev.rule_y.nodes)[:, :n]
-                * eval_q_table(ctx.sys, tev.rule_y.nodes)[:n].T
-                * inv_h,
-                axis=1,
-            ),
-        ),
-    ):
-        live = np.abs(dens) >= 1e-13 * np.max(np.abs(dens))
-        edge = max(edge, float(np.max(np.abs(nodes[live]))))
-    return edge
+def trace_product_average(ctx: KernelContext, m_list, p_list):
+    """E[prod_i Tr(M1**m_i) * prod_j Tr(M2**p_j)] by exact residues.
 
-
-def trace_product_average(
-    ctx: KernelContext,
-    m_list,
-    p_list,
-    num_points=128,
-    radius=None,
-    radius_check=True,
-    tol=1e-6,
-):
-    """E[prod_i Tr(M1**m_i) * prod_j Tr(M2**p_j)] by contour extraction.
-
-    Each variable of the resolvent determinant is integrated over its own
-    circle enclosing the numerically detected spectrum support (midpoint
-    trapezoid, spectrally accurate for periodic integrands); the z**m
-    moment picks out the trace power.  With ``radius_check`` the value is
-    recomputed on circles of twice the radius and a mismatch beyond ``tol``
-    raises.
+    The residue of z**e times the resolvent determinant in each variable
+    picks out one trace power.  A chain of kernel entries raises a degree
+    below n by at most the exponent sum, so the Laurent coefficients up to
+    z**(n + sum e) reach every residue; they come from the polynomial
+    coefficients and the bimoments on the evaluator's base rules.  The value
+    depends on the model, the system, n and the exponents only.  Cost:
+    O(k! k (2L)**3) for k factors and L = n + sum e + 1.
     """
     m_list = [int(m) for m in m_list]
     p_list = [int(p) for p in p_list]
@@ -262,31 +208,10 @@ def trace_product_average(
         raise ValueError("trace exponents must be nonnegative")
     if not m_list and not p_list:
         return 1.0
-    if radius is None:
-        radius = 2.0 * _cached(ctx, _detected_support)
-
     exponents = m_list + p_list
-
-    def run(r):
-        tables = _cached(
-            ctx, _ContourTables, len(m_list), len(p_list), float(r), num_points
-        )
-        return _contour_value(tables, exponents, num_points), tables.radii
-
-    val, _ = run(radius)
-    if radius_check:
-        val2, radii = run(2.0 * radius)
-        # extraction noise scales like the product of contour-radius powers;
-        # below that floor a doubled-radius mismatch carries no information
-        amp = np.prod([r ** (e + 1) for r, e in zip(radii, exponents)])
-        floor = 256.0 * np.finfo(float).eps * amp
-        if abs(val - val2) > max(tol * max(abs(val2), 1.0), floor):
-            raise QuadratureError(
-                f"contour radius {radius:g} too small: value moved by "
-                f"{abs(val - val2):.3e} when the radius doubled"
-            )
-        # the base-radius value carries less amplification noise
-    return float(val.real)
+    size = ctx.n + sum(exponents) + 1
+    entry = _kernel_coefficients(ctx, len(m_list), size)
+    return _contour_value(entry, [_moment_pairing(size, e) for e in exponents])
 
 
 def correlation(ctx: KernelContext, lams, mus):

@@ -28,6 +28,7 @@ __all__ = [
     "BimomentMatrix",
     "BiorthogonalSystem",
     "compute_bimoments",
+    "monomial_bimoments",
     "biorthogonalize",
     "build_system",
     "eval_p",
@@ -132,15 +133,10 @@ def compute_bimoments(
         )
     rule_x = rule_x or build_rule(model, "x", node_count)
     rule_y = rule_y or build_rule(model, "y", node_count)
-
-    def moments(rx, ry):
-        mat, off = weighted_tensor(model, rx, ry)
-        vx = np.vander(rx.nodes, n_max + 1, increasing=True)
-        vy = np.vander(ry.nodes, n_max + 1, increasing=True)
-        return (vx.T @ mat @ vy) * np.exp(off)
-
-    coarse = moments(rule_x, rule_y)
-    fine = moments(doubled_rule(rule_x, model), doubled_rule(rule_y, model))
+    coarse = monomial_bimoments(model, rule_x, rule_y, n_max + 1)
+    fine = monomial_bimoments(
+        model, doubled_rule(rule_x, model), doubled_rule(rule_y, model), n_max + 1
+    )
     err = np.abs(fine - coarse)
     diag = np.abs(np.diag(fine))
     scale = np.sqrt(diag[:, None] * diag[None, :])
@@ -149,6 +145,15 @@ def compute_bimoments(
         i, j = np.argwhere(bad)[0]
         raise BimomentError(int(i), int(j), float(err[i, j]), float(tol * scale[i, j]))
     return BimomentMatrix(n_max + 1, fine, err)
+
+
+def monomial_bimoments(model: ModelSpec, rule_x, rule_y, size):
+    """Integrals of x**k y**l against the joint weight, 0 <= k, l < size,
+    by the product rule on ``rule_x`` and ``rule_y``."""
+    mat, off = weighted_tensor(model, rule_x, rule_y)
+    vx = np.vander(rule_x.nodes, size, increasing=True)
+    vy = np.vander(rule_y.nodes, size, increasing=True)
+    return (vx.T @ mat @ vy) * np.exp(off)
 
 
 def biorthogonalize(g: BimomentMatrix, pivot_tol=1e-10):

@@ -98,7 +98,6 @@ class TransformEvaluator:
         self._grids = {}  # axis -> _DenseGrid with transform table
         self._tensor = None  # (grid_x, grid_y, matrix, log_offset)
         self._t_memo = {}
-        self.contour_cache = {}  # trace-product contour data (applications)
 
     # -- plain transforms ---------------------------------------------------
 

@@ -394,7 +394,7 @@ def check_em_identity(ws: Workspace):
 
 
 def check_trace_sample(ws: Workspace):
-    """Contour-extracted trace averages against the finite-difference oracle."""
+    """Exact-residue trace averages against the finite-difference oracle."""
     import warnings
 
     worst = 0.0

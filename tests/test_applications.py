@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from twomatrix import (
+    KernelContext,
     SourceConfig,
+    TransformEvaluator,
+    build_system,
     correlation,
     log_weight,
     oracle_average,
@@ -13,7 +16,6 @@ from twomatrix import (
     resolvent_generating,
     trace_product_average,
 )
-from twomatrix.applications import _ContourTables, _contour_value
 from twomatrix.errors import DistinctnessError, PoleProximityError
 from twomatrix.quadrature import build_rule, refined_rule, weighted_tensor
 
@@ -22,20 +24,19 @@ def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def grid_determinant_sum(tables, exponents, num_points):
-    """Reference contour value: the trapezoid sum over the whole product
-    grid of contour points, one k x k determinant per point tuple."""
-    k = len(exponents)
-    weights = [tables.points[v] ** (exponents[v] + 1) / num_points for v in range(k)]
-    diags = [tables.diag(v) for v in range(k)]
-    crosses = {(a, b): tables.cross(a, b) for a in range(k) for b in range(k) if a != b}
+def nested_circle_sum(ctx, m_list, p_list, num_points, radius, ratio):
+    """Reference trace product: the midpoint trapezoid sum of z**e times
+    the resolvent generating function over nested circles, variable v on
+    radius * ratio**v, one :func:`resolvent_generating` call per point of
+    the product grid."""
+    exponents = list(m_list) + list(p_list)
+    theta = 2.0 * np.pi * (np.arange(num_points) + 0.5) / num_points
+    circles = [radius * ratio**v * np.exp(1j * theta) for v in range(len(exponents))]
     total = 0.0 + 0.0j
-    for idx in itertools.product(range(num_points), repeat=k):
-        mat = np.empty((k, k), dtype=complex)
-        for a in range(k):
-            for b in range(k):
-                mat[a, b] = diags[a][idx[a]] if a == b else crosses[a, b][idx[a], idx[b]]
-        total += np.prod([weights[a][idx[a]] for a in range(k)]) * np.linalg.det(mat)
+    for idx in itertools.product(range(num_points), repeat=len(exponents)):
+        zs = [circles[v][i] for v, i in enumerate(idx)]
+        weight = np.prod([z ** (e + 1) / num_points for z, e in zip(zs, exponents)])
+        total += weight * resolvent_generating(ctx, zs[: len(m_list)], zs[len(m_list) :])
     return total
 
 
@@ -119,10 +120,42 @@ class TestResolventGenerating:
 class TestTraceProducts:
     def test_zeroth_moment_counts_eigenvalues(self, gaussian_ctx):
         for n in (1, 3):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                val = trace_product_average(gaussian_ctx(n), [0], [])
+            val = trace_product_average(gaussian_ctx(n), [0], [])
             np.testing.assert_allclose(val, n, rtol=1e-8)
+
+    @pytest.mark.parametrize("m_list,p_list", [([0, 0], []), ([], [0, 0]), ([0], [0])])
+    def test_zeroth_moment_pairs_give_n_squared(self, gaussian_ctx, m_list, p_list):
+        val = trace_product_average(gaussian_ctx(3), m_list, p_list)
+        assert abs(val - 9.0) <= 1e-12 * 9.0
+
+    def test_n_at_system_order(self, gaussian_ctx):
+        # Gaussian closed forms at the system's full order: E[Tr M1 Tr M2]
+        # = 2n/3, and E[Tr M1^2] = 4n^2/3 from n^2 entries of variance 4/3
+        n = 10
+        cross = trace_product_average(gaussian_ctx(n), [1], [1])
+        square = trace_product_average(gaussian_ctx(n), [2], [])
+        assert rel(cross, 2.0 * n / 3.0) < 1e-8
+        assert rel(square, 4.0 * n * n / 3.0) < 1e-8
+
+    @pytest.mark.parametrize("m_list,p_list", [([2], [2, 3]), ([3], [2])])
+    def test_vanishing_gaussian_products(self, gaussian_ctx, m_list, p_list):
+        # odd total degree: the Gaussian weight is even under (x, y) -> (-x, -y)
+        assert abs(trace_product_average(gaussian_ctx(3), m_list, p_list)) <= 1e-10
+
+    def test_independent_of_evaluator_history(self, gaussian_model, gaussian_system):
+        def ask(tev):
+            ctx = KernelContext(gaussian_model, gaussian_system, tev, 3)
+            return trace_product_average(ctx, [1], [1, 2])
+
+        fresh = ask(TransformEvaluator(gaussian_model, gaussian_system))
+        warmed = TransformEvaluator(gaussian_model, gaussian_system, memoize=True)
+        for n, m_list, p_list in [(2, [2], [1]), (3, [3], [1, 2]), (3, [1], [1, 2])]:
+            trace_product_average(
+                KernelContext(gaussian_model, gaussian_system, warmed, n), m_list, p_list
+            )
+        warmed.Q_tilde_values([0.3 + 2e-3j, -1.1 - 5e-3j])  # refines the dense grid
+        assert ask(warmed) == fresh
+        assert rel(fresh, 88.0 / 3.0) < 1e-12
 
     def test_n1_cross_moment(self, gaussian_ctx):
         val = trace_product_average(gaussian_ctx(1), [1], [1])
@@ -147,13 +180,19 @@ class TestTraceProducts:
 
 
 class TestCycleFactorization:
-    def test_three_factors_against_product_grid(self, quartic_ctx):
-        ctx = quartic_ctx(2)
-        exponents = [1, 2, 1]  # Tr M1 Tr M1^2 Tr M2: x-x, x-y and y-x links
-        tables = _ContourTables(ctx, 2, 1, 3.0, 16)
-        got = _contour_value(tables, exponents, 16)
-        want = grid_determinant_sum(tables, exponents, 16)
-        assert abs(got - want) <= 1e-12 * abs(want)
+    @pytest.mark.parametrize(
+        "m_list,p_list",
+        [([3], []), ([2, 1], []), ([1], [2]), ([], [1, 2])],
+        ids=["x3", "x2x1", "x1y2", "y1y2"],
+    )
+    def test_against_resolvent_contour_sum(self, skew_model, m_list, p_list):
+        # every link kind, and same-axis pairs with the row variable on the
+        # inner and on the outer circle
+        system = build_system(skew_model, 4)
+        ctx = KernelContext(skew_model, system, TransformEvaluator(skew_model, system), 2)
+        got = trace_product_average(ctx, m_list, p_list)
+        want = nested_circle_sum(ctx, m_list, p_list, 32, 5.0, 1.08)
+        assert abs(got - want) <= 1e-10 * max(abs(want), 1.0)
 
     # Gaussian closed forms: Tr M1 and Tr M2 are jointly normal with
     # variance 4n/3 and covariance 2n/3, and Tr M2^2 = (Tr M2)^2/n plus an
@@ -169,7 +208,7 @@ class TestCycleFactorization:
     )
     def test_four_and_five_factors_against_wick(self, gaussian_ctx, n, m_list, p_list, want):
         got = trace_product_average(gaussian_ctx(n), m_list, p_list)
-        assert rel(got, want) < 1e-7
+        assert rel(got, want) < 1e-12
 
 
 class TestCorrelation:
